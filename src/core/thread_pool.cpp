@@ -12,6 +12,21 @@
 
 namespace skyran::core {
 
+namespace {
+
+/// Every chunk on the calling thread, in chunk order.
+void run_chunks_inline(std::size_t n, std::size_t grain, const ChunkBody& body) {
+  const std::size_t chunks = (n + grain - 1) / grain;
+  SKYRAN_COUNTER_INC("core.pool.runs_inline");
+  SKYRAN_COUNTER_ADD("core.pool.chunks", chunks);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::size_t begin = c * grain;
+    body(c, begin, std::min(n, begin + grain));
+  }
+}
+
+}  // namespace
+
 ThreadPool::ThreadPool(int workers) : workers_(workers) {
   expects(workers >= 1, "ThreadPool: worker count must be >= 1");
   threads_.reserve(static_cast<std::size_t>(workers - 1));
@@ -53,22 +68,19 @@ void ThreadPool::run_chunks(std::size_t n, std::size_t grain, const ChunkBody& b
   if (grain == 0) grain = default_grain(n);
   const std::size_t chunks = (n + grain - 1) / grain;
 
-  const auto run_one = [&](std::size_t c) {
-    const std::size_t begin = c * grain;
-    const std::size_t end = std::min(n, begin + grain);
-    body(c, begin, end);
-  };
-
   const std::size_t lanes =
       max_lanes >= 1 ? std::min<std::size_t>(static_cast<std::size_t>(max_lanes),
                                              static_cast<std::size_t>(workers_))
                      : static_cast<std::size_t>(workers_);
   if (threads_.empty() || chunks == 1 || lanes == 1) {
-    SKYRAN_COUNTER_INC("core.pool.runs_inline");
-    SKYRAN_COUNTER_ADD("core.pool.chunks", chunks);
-    for (std::size_t c = 0; c < chunks; ++c) run_one(c);
+    run_chunks_inline(n, grain, body);
     return;
   }
+  const auto run_one = [&](std::size_t c) {
+    const std::size_t begin = c * grain;
+    const std::size_t end = std::min(n, begin + grain);
+    body(c, begin, end);
+  };
   SKYRAN_COUNTER_INC("core.pool.runs_parallel");
   SKYRAN_COUNTER_ADD("core.pool.chunks", chunks);
 
@@ -184,6 +196,14 @@ std::shared_ptr<ThreadPool> acquire_global_pool() {
 
 void parallel_for_chunks(std::size_t n, std::size_t grain, const ChunkBody& body) {
   const int lanes = configured_workers();
+  if (lanes == 1) {
+    // Same chunks as the pool would run inline, without touching the shared
+    // pool: no g_pool_mu lock and no shared_ptr refcount per loop. Cells
+    // served as pool tasks run thousands of these per epoch concurrently.
+    if (n == 0) return;
+    run_chunks_inline(n, grain == 0 ? ThreadPool::default_grain(n) : grain, body);
+    return;
+  }
   acquire_global_pool()->run_chunks(n, grain, body, lanes);
 }
 

@@ -121,61 +121,70 @@ void Fleet::phase_measure(double fault_t) {
                      : 0.0;
   const double eirp_dbm =
       config_.cell_tx_power_dbm + config_.cell_antenna_gain_dbi + config_.ue_antenna_gain_dbi;
-  rsrp_dbm_.resize(n * c_count);
-  core::parallel_for(n, [&](std::size_t i) {
-    const geo::Vec3 ue = ue_pos_[i];
-    double* row = rsrp_dbm_.data() + i * c_count;
-    for (std::size_t c = 0; c < c_count; ++c)
-      row[c] = eirp_dbm - channel_->path_loss_db(cell_pos_[c], ue) - sag_db_[c];
+  const double enter_db = config_.a3.offset_db + config_.a3.hysteresis_db;
+  const int ttt = config_.a3.time_to_trigger_epochs;
+  const double noise_mw =
+      rf::dbm_to_milliwatt(rf::noise_floor_dbm(config_.bandwidth_hz, config_.ue_noise_figure_db));
+  pending_.assign(n, 0);
+  // One pass per UE: its RSRP row lives in chunk-local scratch, not in an
+  // n_ues x n_cells slab, and is used twice — for the A3 decision and for
+  // the SINR at the serving cell apply will leave the UE on (apply executes
+  // exactly the attachments and handovers decided here).
+  core::parallel_for_chunks(n, 0, [&](std::size_t, std::size_t begin, std::size_t end) {
+    std::vector<double> row(c_count);
+    for (std::size_t i = begin; i < end; ++i) {
+      const geo::Vec3 ue = ue_pos_[i];
+      for (std::size_t c = 0; c < c_count; ++c)
+        row[c] = eirp_dbm - channel_->path_loss_db(cell_pos_[c], ue) - sag_db_[c];
+      decide(i, row.data(), enter_db, ttt);
+      const std::int32_t s = pending_[i] >= 2 ? a3_target_[i] : serving_[i];
+      const double signal_mw = rf::dbm_to_milliwatt(row[s]);
+      double interference_mw = 0.0;
+      for (std::size_t c = 0; c < c_count; ++c)
+        if (static_cast<std::int32_t>(c) != s) interference_mw += rf::dbm_to_milliwatt(row[c]);
+      sinr_db_[i] = 10.0 * std::log10(signal_mw / (noise_mw + interference_mw));
+    }
   });
 }
 
-void Fleet::phase_decide() {
-  SKYRAN_TRACE_SPAN("fleet.decide");
-  const std::size_t n = ue_pos_.size();
+void Fleet::decide(std::size_t i, const double* row, double enter_db, int ttt) {
   const std::size_t c_count = cell_pos_.size();
-  const double enter_db = config_.a3.offset_db + config_.a3.hysteresis_db;
-  const int ttt = config_.a3.time_to_trigger_epochs;
-  pending_.assign(n, 0);
-  core::parallel_for(n, [&](std::size_t i) {
-    const double* row = rsrp_dbm_.data() + i * c_count;
-    const std::int32_t s = serving_[i];
-    if (s < 0) {
-      // Unattached: pick the strongest CIO-biased cell (ties -> lowest index).
-      std::int32_t best = 0;
-      double best_m = row[0] + cio_db_[0];
-      for (std::size_t c = 1; c < c_count; ++c) {
-        const double m = row[c] + cio_db_[c];
-        if (m > best_m) {
-          best = static_cast<std::int32_t>(c);
-          best_m = m;
-        }
-      }
-      a3_target_[i] = best;
-      pending_[i] = 3;
-      return;
-    }
-    std::int32_t best = -1;
-    double best_m = -std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < c_count; ++c) {
-      if (static_cast<std::int32_t>(c) == s) continue;
+  const std::int32_t s = serving_[i];
+  if (s < 0) {
+    // Unattached: pick the strongest CIO-biased cell (ties -> lowest index).
+    std::int32_t best = 0;
+    double best_m = row[0] + cio_db_[0];
+    for (std::size_t c = 1; c < c_count; ++c) {
       const double m = row[c] + cio_db_[c];
       if (m > best_m) {
         best = static_cast<std::int32_t>(c);
         best_m = m;
       }
     }
-    const double serving_m = row[s] + cio_db_[s];
-    if (best < 0 || best_m <= serving_m + enter_db) {
-      a3_target_[i] = -1;
-      a3_count_[i] = 0;
-      return;
-    }
-    // A3 condition holds toward `best`: advance (or restart) time-to-trigger.
-    a3_count_[i] = (a3_target_[i] == best) ? a3_count_[i] + 1 : 1;
     a3_target_[i] = best;
-    pending_[i] = (a3_count_[i] >= ttt) ? 2 : 1;
-  });
+    pending_[i] = 3;
+    return;
+  }
+  std::int32_t best = -1;
+  double best_m = -std::numeric_limits<double>::infinity();
+  for (std::size_t c = 0; c < c_count; ++c) {
+    if (static_cast<std::int32_t>(c) == s) continue;
+    const double m = row[c] + cio_db_[c];
+    if (m > best_m) {
+      best = static_cast<std::int32_t>(c);
+      best_m = m;
+    }
+  }
+  const double serving_m = row[s] + cio_db_[s];
+  if (best < 0 || best_m <= serving_m + enter_db) {
+    a3_target_[i] = -1;
+    a3_count_[i] = 0;
+    return;
+  }
+  // A3 condition holds toward `best`: advance (or restart) time-to-trigger.
+  a3_count_[i] = (a3_target_[i] == best) ? a3_count_[i] + 1 : 1;
+  a3_target_[i] = best;
+  pending_[i] = (a3_count_[i] >= ttt) ? 2 : 1;
 }
 
 void Fleet::phase_apply(FleetEpochReport& report) {
@@ -223,23 +232,6 @@ void Fleet::phase_apply(FleetEpochReport& report) {
   total_pingpongs_ += report.ho_pingpongs;
 }
 
-void Fleet::phase_sinr() {
-  SKYRAN_TRACE_SPAN("fleet.sinr");
-  const std::size_t n = ue_pos_.size();
-  const std::size_t c_count = cell_pos_.size();
-  const double noise_mw =
-      rf::dbm_to_milliwatt(rf::noise_floor_dbm(config_.bandwidth_hz, config_.ue_noise_figure_db));
-  core::parallel_for(n, [&](std::size_t i) {
-    const double* row = rsrp_dbm_.data() + i * c_count;
-    const std::int32_t s = serving_[i];
-    const double signal_mw = rf::dbm_to_milliwatt(row[s]);
-    double interference_mw = 0.0;
-    for (std::size_t c = 0; c < c_count; ++c)
-      if (static_cast<std::int32_t>(c) != s) interference_mw += rf::dbm_to_milliwatt(row[c]);
-    sinr_db_[i] = 10.0 * std::log10(signal_mw / (noise_mw + interference_mw));
-  });
-}
-
 void Fleet::phase_serve(FleetEpochReport& report) {
   SKYRAN_TRACE_SPAN("fleet.serve");
   const std::size_t n = ue_pos_.size();
@@ -256,58 +248,31 @@ void Fleet::phase_serve(FleetEpochReport& report) {
 
   report.cell_prb_util.assign(c_count, 0.0);
   report.cell_ues.assign(c_count, 0);
+  for (std::size_t c = 0; c < c_count; ++c)
+    report.cell_ues[c] = cell_begin_[c + 1] - cell_begin_[c];
   ue_served_bits_.assign(n, 0.0);
-  const double epoch_seconds = config_.ttis_per_epoch * lte::kTtiSeconds;
+  cell_offered_bits_.assign(c_count, 0.0);
+  cell_served_bits_.assign(c_count, 0.0);
+
+  // One pool task per cell. The claim order is largest cell first, so a hot
+  // cell does not start last and stretch the barrier; it changes no result,
+  // because each task writes only its own cell's and members' slots.
+  serve_order_.resize(c_count);
+  for (std::size_t c = 0; c < c_count; ++c) serve_order_[c] = static_cast<std::uint32_t>(c);
+  std::stable_sort(serve_order_.begin(), serve_order_.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return report.cell_ues[a] > report.cell_ues[b];
+                   });
+  core::parallel_for(c_count, [&](std::size_t k) { serve_cell(serve_order_[k]); },
+                     /*grain=*/1);
+
+  // Merge in cell order after the barrier: the same additions, in the same
+  // order, as a serial walk over the cells.
   for (std::size_t c = 0; c < c_count; ++c) {
-    const std::uint32_t begin = cell_begin_[c];
-    const std::uint32_t end = cell_begin_[c + 1];
-    report.cell_ues[c] = end - begin;
-    if (begin == end) {
-      util_[c] = 0.0;
-      continue;
-    }
-    lte::TrafficPlaneConfig plane_cfg = config_.plane;
-    plane_cfg.seed = mix64(config_.seed ^ mix64(static_cast<std::uint64_t>(epoch_) ^
-                                                mix64(0x5eedULL + c)));
-    lte::TrafficPlane plane(plane_cfg);
-    for (std::uint32_t k = begin; k < end; ++k) {
-      const std::uint32_t ue = members_[k];
-      plane.add_ue(ue + 1, sinr_db_[ue], ue_spec_[ue]);
-    }
-    plane.run_ttis(config_.ttis_per_epoch);
-    const int prb_total = plane.last_tti().prb_total;
-    const lte::TrafficPlaneReport cell_report = plane.report();
-    // Demand-based PRB utilization: the fraction of the grid the members'
-    // offered traffic NEEDS at their channel quality. Granted-PRB counting
-    // is useless as a load signal here — the proportional-fair scheduler
-    // spreads the whole grid over any backlogged UE, so grants read ~100%
-    // on a nearly idle cell. Demand/capacity is what a RIC steers on.
-    const double grid_prbs =
-        static_cast<double>(config_.ttis_per_epoch) * std::max(prb_total, 1);
-    double needed_prbs = 0.0;
-    for (std::uint32_t k = begin; k < end; ++k) {
-      const std::uint32_t ue = members_[k];
-      if (ue_spec_[ue].model == lte::TrafficModel::kFullBuffer) {
-        needed_prbs = grid_prbs;  // infinite demand: the cell is saturated
-        break;
-      }
-      const double rate_1prb = lte::cqi_efficiency(lte::snr_to_cqi(sinr_db_[ue])) *
-                               lte::kPrbBandwidthHz * lte::kTtiSeconds *
-                               (1.0 - lte::kL1OverheadFraction);
-      if (rate_1prb <= 0.0) {
-        needed_prbs = grid_prbs;  // out of CQI range: no rate, pure backlog
-        break;
-      }
-      needed_prbs += plane.offered_bits(k - begin) / rate_1prb;
-    }
-    util_[c] = std::min(1.0, needed_prbs / grid_prbs);
-    report.offered_bits += cell_report.offered_bits;
-    report.served_bits += cell_report.served_bits;
-    for (std::uint32_t k = begin; k < end; ++k) {
-      ue_load_bits_[members_[k]] = plane.offered_bits(k - begin) + plane.served_bits(k - begin);
-      ue_served_bits_[members_[k]] = plane.served_bits(k - begin);
-    }
+    report.offered_bits += cell_offered_bits_[c];
+    report.served_bits += cell_served_bits_[c];
   }
+  const double epoch_seconds = config_.ttis_per_epoch * lte::kTtiSeconds;
   report.aggregate_throughput_bps = report.served_bits / epoch_seconds;
   total_served_bits_ += report.served_bits;
 
@@ -320,6 +285,66 @@ void Fleet::phase_serve(FleetEpochReport& report) {
   }
   report.max_prb_util = max_util;
   report.mean_prb_util = c_count > 0 ? sum_util / static_cast<double>(c_count) : 0.0;
+}
+
+void Fleet::serve_cell(std::size_t c) {
+  // The whole cell runs on this lane: the plane's per-TTI loops go inline.
+  // They are element-wise with counter-based randomness, so the bytes do not
+  // depend on which thread runs the cell.
+  const core::ScopedWorkers inline_loops(1);
+  const std::uint32_t begin = cell_begin_[c];
+  const std::uint32_t end = cell_begin_[c + 1];
+  if (begin == end) {
+    util_[c] = 0.0;
+    return;
+  }
+  lte::TrafficPlaneConfig plane_cfg = config_.plane;
+  plane_cfg.seed = mix64(config_.seed ^ mix64(static_cast<std::uint64_t>(epoch_) ^
+                                              mix64(0x5eedULL + c)));
+  lte::TrafficPlane plane(plane_cfg);
+  for (std::uint32_t k = begin; k < end; ++k) {
+    const std::uint32_t ue = members_[k];
+    plane.add_ue(ue + 1, sinr_db_[ue], ue_spec_[ue]);
+  }
+  plane.run_ttis(config_.ttis_per_epoch);
+  const int prb_total = plane.last_tti().prb_total;
+  // Demand-based PRB utilization: the fraction of the grid the members'
+  // offered traffic NEEDS at their channel quality. Granted-PRB counting
+  // is useless as a load signal here — the proportional-fair scheduler
+  // spreads the whole grid over any backlogged UE, so grants read ~100%
+  // on a nearly idle cell. Demand/capacity is what a RIC steers on.
+  const double grid_prbs =
+      static_cast<double>(config_.ttis_per_epoch) * std::max(prb_total, 1);
+  double needed_prbs = 0.0;
+  for (std::uint32_t k = begin; k < end; ++k) {
+    const std::uint32_t ue = members_[k];
+    if (ue_spec_[ue].model == lte::TrafficModel::kFullBuffer) {
+      needed_prbs = grid_prbs;  // infinite demand: the cell is saturated
+      break;
+    }
+    const double rate_1prb = lte::cqi_efficiency(lte::snr_to_cqi(sinr_db_[ue])) *
+                             lte::kPrbBandwidthHz * lte::kTtiSeconds *
+                             (1.0 - lte::kL1OverheadFraction);
+    if (rate_1prb <= 0.0) {
+      needed_prbs = grid_prbs;  // out of CQI range: no rate, pure backlog
+      break;
+    }
+    needed_prbs += plane.offered_bits(k - begin) / rate_1prb;
+  }
+  util_[c] = std::min(1.0, needed_prbs / grid_prbs);
+  // Cell totals summed in member order, as TrafficPlane::report() sums them.
+  double offered = 0.0;
+  double served = 0.0;
+  for (std::uint32_t k = begin; k < end; ++k) {
+    const double o = plane.offered_bits(k - begin);
+    const double s = plane.served_bits(k - begin);
+    offered += o;
+    served += s;
+    ue_load_bits_[members_[k]] = o + s;
+    ue_served_bits_[members_[k]] = s;
+  }
+  cell_offered_bits_[c] = offered;
+  cell_served_bits_[c] = served;
 }
 
 void Fleet::phase_steer(FleetEpochReport& report) {
@@ -358,9 +383,7 @@ FleetEpochReport Fleet::run_epoch() {
   report.epoch = epoch_;
 
   phase_measure(/*fault_t=*/static_cast<double>(epoch_ - 1));
-  phase_decide();
   phase_apply(report);
-  phase_sinr();
   phase_serve(report);
   phase_steer(report);
   sim::crash_point("epoch.steer");
@@ -501,8 +524,7 @@ std::uint64_t Fleet::state_hash() const {
   return h;
 }
 
-void Fleet::save(std::ostream& os) const {
-  geo::BinWriter w;
+void Fleet::write_state(geo::BinWriter& w) const {
   w.pod(config_.seed);
   w.pod(static_cast<std::uint64_t>(cell_pos_.size()));
   w.pod(static_cast<std::uint64_t>(ue_pos_.size()));
@@ -529,12 +551,29 @@ void Fleet::save(std::ostream& os) const {
   w.pod(total_refreshes_);
   w.pod(ho_log_dropped_);
   w.pod(total_served_bits_);
+}
+
+void Fleet::save(std::ostream& os) const {
+  geo::BinWriter w;
+  write_state(w);
   geo::write_envelope(os, kMagic, kVersion, w);
 }
 
+void Fleet::save_nested(geo::BinWriter& out) const {
+  out.envelope(kMagic, kVersion, [this](geo::BinWriter& w) { write_state(w); });
+}
+
 void Fleet::restore(std::istream& is) {
-  const geo::Envelope env = geo::read_envelope(is, kMagic, kVersion, kVersion, "Fleet::restore");
-  geo::BinReader r(env.payload);
+  read_state(geo::read_envelope(is, kMagic, kVersion, kVersion, "Fleet::restore").payload);
+}
+
+void Fleet::restore(std::string_view envelope) {
+  read_state(
+      geo::parse_envelope(envelope, kMagic, kVersion, kVersion, "Fleet::restore").payload);
+}
+
+void Fleet::read_state(std::string_view payload) {
+  geo::BinReader r(payload);
   const auto seed = r.pod<std::uint64_t>();
   const auto n_cells = r.pod<std::uint64_t>();
   const auto n_ues = r.pod<std::uint64_t>();

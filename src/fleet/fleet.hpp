@@ -5,25 +5,29 @@
 // that steers traffic between cells by biasing cell-individual offsets
 // (CIO) toward the least-loaded cell.
 //
-// One fleet epoch (run_epoch) is five phases:
+// One fleet epoch (run_epoch) is three phases:
 //
-//   measure  (parallel over UEs)  DL RSRP from every cell into an
-//                                 n_ues x n_cells SoA slab (path loss via
-//                                 the shared ChannelModel + per-cell fault
-//                                 sag from the FaultPlan)
-//   decide   (parallel over UEs)  A3 entry check + time-to-trigger state
-//                                 per UE (disjoint per-UE slabs)
+//   measure  (parallel over UEs)  per UE, in one pass: DL RSRP from every
+//                                 cell (path loss via the shared
+//                                 ChannelModel + per-cell fault sag from
+//                                 the FaultPlan) into a chunk-local row; the
+//                                 A3 entry check + time-to-trigger state;
+//                                 and the SINR at the cell apply will leave
+//                                 the UE on (serving power over noise + sum
+//                                 of non-serving co-channel powers). No
+//                                 n_ues x n_cells slab is kept.
 //   apply    (serial, UE order)   attachment + handover execution, event
 //                                 log, ping-pong detection
-//   sinr     (parallel over UEs)  serving power over noise + sum of
-//                                 non-serving co-channel powers
-//   serve    (serial over cells)  per-cell TrafficPlane rebuilt from the
-//                                 epoch's membership, run ttis_per_epoch
-//                                 TTIs; per-cell PRB utilization is
-//                                 demand-based (PRBs the offered traffic
-//                                 needs at the members' CQI over the grid),
-//                                 not granted PRBs — the PF scheduler
-//                                 spreads the whole grid over any backlog
+//   serve    (parallel over cells) one pool task per cell: a TrafficPlane
+//                                 rebuilt from the epoch's membership runs
+//                                 ttis_per_epoch TTIs with its inner loops
+//                                 inline; cell totals merge in cell order
+//                                 after the barrier. Per-cell PRB
+//                                 utilization is demand-based (PRBs the
+//                                 offered traffic needs at the members' CQI
+//                                 over the grid), not granted PRBs — the PF
+//                                 scheduler spreads the whole grid over any
+//                                 backlog
 //
 // plus, every steering.period_epochs epochs, one gradient step on the
 // per-cell PRB utilization: the most-loaded cell's CIO steps down and the
@@ -32,7 +36,7 @@
 // sim::crash_point("epoch.steer") kill point.
 //
 // Determinism contract (same as the rest of the repo): all parallel phases
-// write disjoint per-UE slots, chunk boundaries depend only on the range
+// write disjoint per-UE or per-cell slots, chunk boundaries depend only on the range
 // length, all randomness is counter-based — serial and N-worker runs are
 // bit-for-bit identical, enforced by state_hash() in tests/test_fleet.cpp
 // and in-bench by bench/ablation_fleet. state_hash() covers exactly the
@@ -44,6 +48,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "geo/vec.hpp"
@@ -51,6 +56,10 @@
 #include "rf/channel.hpp"
 #include "sim/faults.hpp"
 #include "terrain/terrain.hpp"
+
+namespace skyran::geo {
+class BinWriter;
+}
 
 namespace skyran::rem {
 class RemBank;
@@ -164,7 +173,7 @@ class Fleet {
  public:
   /// `channel` is the shared path-loss oracle (borrowed; must outlive the
   /// fleet). A cheap model (rf::FsplChannel) keeps the n_ues x n_cells
-  /// measure phase in budget at 10^5 UEs.
+  /// path-loss evaluations of the measure phase in budget at 10^5 UEs.
   Fleet(FleetConfig config, const rf::ChannelModel& channel);
 
   /// Add a UAV cell hovering at `position`. Returns the cell index.
@@ -244,19 +253,30 @@ class Fleet {
   /// geo::binio envelope (magic "SKYF").
   void save(std::ostream& os) const;
 
+  /// Append the same envelope to `out` as one u64-length-prefixed blob,
+  /// built in place (a checkpoint that nests the fleet copies nothing):
+  /// the bytes equal out.str(<what save() writes>).
+  void save_nested(geo::BinWriter& out) const;
+
   /// Restore into a fleet constructed with the same config and the same
   /// add_cell/add_ue sequence. Throws geo::BinTruncatedError /
   /// BinCorruptError / BinVersionError on a bad stream and
   /// FleetStateMismatch when the populations disagree.
   void restore(std::istream& is);
 
+  /// restore() from the envelope bytes in memory, parsed in place; same
+  /// checks and errors as the stream overload.
+  void restore(std::string_view envelope);
+
  private:
   void phase_measure(double fault_t);
-  void phase_decide();
+  void decide(std::size_t i, const double* row, double enter_db, int ttt);
   void phase_apply(FleetEpochReport& report);
-  void phase_sinr();
   void phase_serve(FleetEpochReport& report);
+  void serve_cell(std::size_t c);
   void phase_steer(FleetEpochReport& report);
+  void write_state(geo::BinWriter& w) const;
+  void read_state(std::string_view payload);
 
   FleetConfig config_;
   const rf::ChannelModel* channel_;
@@ -279,7 +299,6 @@ class Fleet {
   std::vector<double> ue_load_bits_;      ///< served+offered bits, last epoch
 
   // UE slabs (scratch, rebuilt every epoch; excluded from hash/save).
-  std::vector<double> rsrp_dbm_;          ///< n_ues x n_cells, UE-major
   std::vector<double> sinr_db_;
   std::vector<double> ue_served_bits_;    ///< last serve phase, per UE
   std::vector<std::uint8_t> pending_;     ///< 0 none, 1 in-TTT, 2 execute, 3 attach
@@ -287,6 +306,9 @@ class Fleet {
   // Serve-phase scratch.
   std::vector<std::uint32_t> members_;        ///< UE indices grouped by cell
   std::vector<std::uint32_t> cell_begin_;     ///< n_cells + 1 offsets into members_
+  std::vector<std::uint32_t> serve_order_;    ///< cells, largest first (task claim order)
+  std::vector<double> cell_offered_bits_;     ///< per-cell task slots, merged in cell order
+  std::vector<double> cell_served_bits_;
 
   // Cumulative counters (persisted).
   std::uint64_t total_attaches_ = 0;

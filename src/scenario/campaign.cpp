@@ -500,9 +500,7 @@ void Campaign::save(std::ostream& os) const {
   w.pod(total_samples_);
   w.pod(static_cast<std::uint64_t>(by_hour_.size()));
   for (const HourReport& hr : by_hour_) write_hour(w, hr);
-  std::ostringstream fleet_bytes;
-  fleet_.save(fleet_bytes);
-  w.str(fleet_bytes.str());
+  fleet_.save_nested(w);
   geo::write_envelope(os, kMagic, kVersion, w);
 }
 
@@ -541,7 +539,7 @@ void Campaign::restore(std::istream& is) {
   std::vector<HourReport> rows;
   rows.reserve(n_hours);
   for (std::uint64_t i = 0; i < n_hours; ++i) rows.push_back(read_hour(r));
-  const std::string fleet_blob = r.str();
+  const std::string_view fleet_blob = r.str_view();  // a view into env.payload
   if (!r.done()) {
     throw CampaignStateMismatch("Campaign::restore: trailing bytes after last field");
   }
@@ -554,8 +552,7 @@ void Campaign::restore(std::istream& is) {
   for (std::size_t i = 0; i < config_.n_ues; ++i) {
     fresh.add_ue(ue_position_at(i, 0.0), base_spec_[i]);
   }
-  std::istringstream fleet_in(fleet_blob);
-  fresh.restore(fleet_in);
+  fresh.restore(fleet_blob);
 
   fleet_ = std::move(fresh);
   hour_ = hour;
@@ -579,7 +576,7 @@ CampaignCheckpointer::CampaignCheckpointer(std::filesystem::path dir, int keep)
 std::filesystem::path CampaignCheckpointer::save(const Campaign& campaign) {
   std::ostringstream os;
   campaign.save(os);
-  const std::filesystem::path path = store_.save(campaign.hours_run(), os.str());
+  const std::filesystem::path path = store_.save(campaign.hours_run(), std::move(os).str());
   SKYRAN_COUNTER_INC("campaign.ckpt.saves");
   return path;
 }

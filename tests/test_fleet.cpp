@@ -1,9 +1,11 @@
 // fleet::Fleet property suite: attachment determinism and the serial ==
-// 8-worker bit-identity contract; the A3 handover state machine (offset +
+// 8-worker bit-identity contract (also under skewed cell membership, where
+// serve runs one pool task per cell); the A3 handover state machine (offset +
 // hysteresis entry condition, time-to-trigger accumulation and reset,
 // ping-pong detection window); closed-loop traffic steering draining a
 // constructed hot spot; the save/restore round-trip (bit-identical resume,
-// population mismatch and corruption rejection); staggered load-weighted
+// population mismatch and corruption rejection, in-place vs stream envelope
+// reader parity); staggered load-weighted
 // placement over a shared RemBank; and the SkyRan-side load_weighted_placement
 // flag with its Snapshot v2 field. No fork-based tests live here — this
 // binary runs under TSan in CI; the kill-at-epoch.steer crash case is in
@@ -12,6 +14,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -168,6 +171,63 @@ TEST(FleetDeterminism, SerialMatchesEightWorkersBitIdentical) {
     drift_ues(serial, e);
     drift_ues(pool, e);
   }
+}
+
+void expect_reports_equal(const fleet::FleetEpochReport& a, const fleet::FleetEpochReport& b) {
+  EXPECT_EQ(a.epoch, b.epoch);
+  EXPECT_EQ(a.attach_events, b.attach_events);
+  EXPECT_EQ(a.ho_attempts, b.ho_attempts);
+  EXPECT_EQ(a.ho_successes, b.ho_successes);
+  EXPECT_EQ(a.ho_pingpongs, b.ho_pingpongs);
+  EXPECT_EQ(a.steering_steps, b.steering_steps);
+  EXPECT_EQ(a.min_sinr_db, b.min_sinr_db);  // bit-equal, not approx
+  EXPECT_EQ(a.mean_sinr_db, b.mean_sinr_db);
+  EXPECT_EQ(a.offered_bits, b.offered_bits);
+  EXPECT_EQ(a.served_bits, b.served_bits);
+  EXPECT_EQ(a.aggregate_throughput_bps, b.aggregate_throughput_bps);
+  EXPECT_EQ(a.max_prb_util, b.max_prb_util);
+  EXPECT_EQ(a.mean_prb_util, b.mean_prb_util);
+  EXPECT_EQ(a.cell_prb_util, b.cell_prb_util);
+  EXPECT_EQ(a.cell_ues, b.cell_ues);
+}
+
+/// Five far-apart cells with skewed membership: cell 0 holds a hot spot of
+/// 240 mixed-traffic UEs, cell 1 exactly one UE, cells 2-4 none. Serve runs
+/// one pool task per cell, so uneven and empty tasks are the edge cases.
+fleet::Fleet skewed_fleet(int threads) {
+  fleet::FleetConfig cfg = tiny_config(threads);
+  cfg.steering.enabled = true;
+  cfg.steering.period_epochs = 1;
+  fleet::Fleet f(cfg, channel());
+  f.add_cell({0.0, 0.0, kAlt});
+  f.add_cell({3000.0, 0.0, kAlt});
+  f.add_cell({0.0, 3000.0, kAlt});
+  f.add_cell({3000.0, 3000.0, kAlt});
+  f.add_cell({6000.0, 0.0, kAlt});
+  for (std::size_t i = 0; i < 240; ++i) {
+    lte::TrafficSpec spec = cbr(1e5 + 4e5 * unit_noise(i, 31));
+    if (i % 4 == 1) spec.model = lte::TrafficModel::kBurstyOnOff;
+    if (i % 4 == 2) spec.model = lte::TrafficModel::kVideo;
+    f.add_ue({200.0 * unit_noise(i, 41) - 100.0, 200.0 * unit_noise(i, 43) - 100.0, 1.5}, spec);
+  }
+  f.add_ue({3010.0, 5.0, 1.5}, cbr(2e5));
+  return f;
+}
+
+TEST(FleetDeterminism, SkewedMembershipSerialMatchesEightWorkers) {
+  fleet::Fleet serial = skewed_fleet(/*threads=*/1);
+  fleet::Fleet pool = skewed_fleet(/*threads=*/8);
+  for (int e = 1; e <= 3; ++e) {
+    const fleet::FleetEpochReport rs = serial.run_epoch();
+    const fleet::FleetEpochReport rp = pool.run_epoch();
+    ASSERT_EQ(rs.cell_ues, (std::vector<std::uint32_t>{240, 1, 0, 0, 0})) << "epoch " << e;
+    expect_reports_equal(rs, rp);
+    ASSERT_EQ(serial.state_hash(), pool.state_hash()) << "epoch " << e;
+    for (std::size_t i = 0; i < serial.ue_count(); ++i)
+      ASSERT_EQ(serial.ue_served_bits(i), pool.ue_served_bits(i)) << "ue " << i;
+  }
+  EXPECT_GT(serial.prb_utilization(0), 0.0);
+  EXPECT_EQ(serial.prb_utilization(2), 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -401,6 +461,58 @@ TEST(FleetSnapshot, RestoreRejectsCorruptStream) {
   b.add_ue({50.0, 0.0, 1.5}, cbr(1e5));
   std::istringstream corrupt(bytes);
   EXPECT_THROW(b.restore(corrupt), geo::BinCorruptError);
+}
+
+/// Outcome of one restore: the typed error and its message, or the restored
+/// state hash.
+std::string restore_outcome(const std::function<void(fleet::Fleet&)>& restore) {
+  fleet::Fleet f = two_cell_fleet(tiny_config());
+  f.add_ue({50.0, 0.0, 1.5}, cbr(1e5));
+  f.add_ue({350.0, 0.0, 1.5}, cbr(2e5));
+  try {
+    restore(f);
+    return "ok " + std::to_string(f.state_hash());
+  } catch (const geo::BinTruncatedError& e) {
+    return std::string("truncated: ") + e.what();
+  } catch (const geo::BinCorruptError& e) {
+    return std::string("corrupt: ") + e.what();
+  } catch (const geo::BinVersionError& e) {
+    return std::string("version: ") + e.what();
+  } catch (const fleet::FleetStateMismatch& e) {
+    return std::string("mismatch: ") + e.what();
+  }
+}
+
+TEST(FleetSnapshot, InPlaceReaderMatchesStreamReaderOnEveryPrefixAndFlip) {
+  fleet::Fleet a = two_cell_fleet(tiny_config());
+  a.add_ue({50.0, 0.0, 1.5}, cbr(1e5));
+  a.add_ue({350.0, 0.0, 1.5}, cbr(2e5));
+  a.run_epoch();
+  std::ostringstream saved;
+  a.save(saved);
+  const std::string blob = saved.str();
+
+  const auto check = [](const std::string& bytes, const std::string& what) {
+    const std::string via_stream = restore_outcome([&](fleet::Fleet& f) {
+      std::istringstream is(bytes);
+      f.restore(is);
+    });
+    const std::string in_place =
+        restore_outcome([&](fleet::Fleet& f) { f.restore(std::string_view(bytes)); });
+    ASSERT_EQ(via_stream, in_place) << what;
+  };
+  check(blob, "intact blob");
+  EXPECT_EQ(restore_outcome([&](fleet::Fleet& f) { f.restore(std::string_view(blob)); }),
+            "ok " + std::to_string(a.state_hash()));
+  for (std::size_t n = 0; n < blob.size(); ++n)
+    check(blob.substr(0, n), "prefix " + std::to_string(n));
+  for (std::size_t at = 0; at < blob.size(); ++at) {
+    for (const unsigned char mask : {0x01, 0x80}) {
+      std::string bytes = blob;
+      bytes[at] = static_cast<char>(bytes[at] ^ mask);
+      check(bytes, "flip at " + std::to_string(at));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 // Unit tests for the geo foundation module: vectors, rectangles, grids,
-// paths, statistics and the value-noise field.
+// paths, statistics, the value-noise field and the binio CRC / nested
+// envelope writer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <sstream>
+#include <string>
+#include <string_view>
 
+#include "geo/binio.hpp"
 #include "geo/contract.hpp"
 #include "geo/grid.hpp"
 #include "geo/noise.hpp"
@@ -301,6 +307,81 @@ TEST_P(PathResample, LengthPreservedWithinSpacing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Spacings, PathResample, ::testing::Values(0.5, 1.0, 3.0, 10.0));
+
+// --- binio -------------------------------------------------------------------
+
+/// The bitwise definition of CRC-32 (reflected, poly 0xEDB88320): the
+/// reference the table-driven Crc32 must reproduce.
+std::uint32_t crc32_bitwise(std::string_view bytes) {
+  std::uint32_t s = 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    s ^= static_cast<unsigned char>(ch);
+    for (int b = 0; b < 8; ++b) s = (s >> 1) ^ (0xEDB88320u & (~(s & 1u) + 1u));
+  }
+  return s ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, CheckValue) {
+  EXPECT_EQ(Crc32::of("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32::of(""), 0u);
+}
+
+TEST(Crc32Test, TableMatchesBitwiseOnRandomBuffers) {
+  std::mt19937_64 rng(0xC3C32u);
+  std::string buf(4096 + 16, '\0');
+  for (char& c : buf) c = static_cast<char>(rng());
+  // Every short length at every alignment, then long ones with unaligned
+  // starts and tails.
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 40; ++len) {
+      const std::string_view v(buf.data() + offset, len);
+      ASSERT_EQ(Crc32::of(v), crc32_bitwise(v)) << "offset " << offset << " len " << len;
+    }
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::size_t offset = rng() % 16;
+    const std::size_t len = rng() % 4096;
+    const std::string_view v(buf.data() + offset, len);
+    ASSERT_EQ(Crc32::of(v), crc32_bitwise(v)) << "offset " << offset << " len " << len;
+    // Incremental updates split anywhere give the one-shot value.
+    const std::size_t cut = len == 0 ? 0 : rng() % len;
+    Crc32 c;
+    c.update(v.data(), cut);
+    c.update(v.data() + cut, len - cut);
+    ASSERT_EQ(c.value(), crc32_bitwise(v));
+  }
+}
+
+TEST(BinWriterTest, NestedEnvelopeIsLengthPlusWriteEnvelopeBytes) {
+  constexpr char kMagic[4] = {'T', 'E', 'S', 'T'};
+  const auto write_payload = [](BinWriter& w, int fields) {
+    for (int i = 0; i < fields; ++i) w.pod(0.5 * i - 3.0);
+    if (fields > 0) w.str("nested");
+  };
+  for (const int fields : {0, 1, 7}) {
+    BinWriter nested;
+    nested.pod(std::uint32_t{42});
+    nested.envelope(kMagic, 3, [&](BinWriter& w) { write_payload(w, fields); });
+    nested.pod(std::uint8_t{7});
+
+    BinWriter payload;
+    write_payload(payload, fields);
+    std::ostringstream os;
+    write_envelope(os, kMagic, 3, payload);
+    BinWriter expected;
+    expected.pod(std::uint32_t{42});
+    expected.str(os.str());
+    expected.pod(std::uint8_t{7});
+    ASSERT_EQ(nested.buffer(), expected.buffer()) << fields << " fields";
+
+    BinReader r(nested.buffer());
+    EXPECT_EQ(r.pod<std::uint32_t>(), 42u);
+    const EnvelopeView env = parse_envelope(r.str_view(), kMagic, 3, 3, "test");
+    EXPECT_EQ(env.version, 3u);
+    EXPECT_EQ(env.payload, payload.buffer());
+    EXPECT_EQ(r.pod<std::uint8_t>(), 7u);
+    EXPECT_TRUE(r.done());
+  }
+}
 
 }  // namespace
 }  // namespace skyran::geo

@@ -2,7 +2,8 @@
 // (diurnal curve, commuter flow, flash crowds), the serial == 8-worker
 // bit-identity of a whole campaign report, battery-swap logistics, the
 // save/restore round-trip with fingerprint/corruption rejection (strong
-// guarantee), and CampaignCheckpointer generation fallback. No fork-based
+// guarantee), a pinned digest of the checkpoint bytes (format stability),
+// and CampaignCheckpointer generation fallback. No fork-based
 // tests live here — this binary runs under TSan in CI; the kill-at-hour.tick
 // crash case is in tests/test_crash_recovery.cpp.
 #include <gtest/gtest.h>
@@ -261,6 +262,31 @@ TEST(CampaignCheckpoint, RoundTripResumesBitIdentically) {
   const scenario::CampaignReport a = reference.run();
   const scenario::CampaignReport b = resumed.run();
   EXPECT_EQ(scenario::campaign_digest(a), scenario::campaign_digest(b));
+}
+
+TEST(CampaignCheckpoint, SavedBytesMatchPinnedDigest) {
+  // The checkpoint format is on disk between runs: a checkpoint written by
+  // an earlier build must still restore. Pin the exact bytes (FNV-1a) of a
+  // small campaign's save; a change here is a format change and needs a
+  // version bump, not a new pin.
+  scenario::Campaign campaign(tiny_campaign(1, 4));
+  campaign.run_hour();
+  campaign.run_hour();
+  std::ostringstream saved;
+  campaign.save(saved);
+  const std::string bytes = saved.str();
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(bytes.size(), 2728u);
+  EXPECT_EQ(h, 0x99a4d4ce7b43ee4eULL);
+
+  scenario::Campaign resumed(tiny_campaign(8, 4));
+  std::istringstream in(bytes);
+  resumed.restore(in);
+  EXPECT_EQ(resumed.state_hash(), campaign.state_hash());
 }
 
 TEST(CampaignCheckpoint, RejectsForeignFingerprintAndStaysUnchanged) {
